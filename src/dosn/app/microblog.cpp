@@ -17,6 +17,17 @@ namespace {
 const sim::MessageType kMsgCacheGet("mb.cache.get");
 const sim::MessageType kMsgCacheValue("mb.cache.value");
 
+// The chain payload for an envelope (see the header): one 32-byte digest
+// over the metadata ACLs resolve it by and the ciphertext it carries.
+util::Bytes chainPayload(const privacy::Envelope& envelope) {
+  util::Writer w;
+  w.str(envelope.scheme);
+  w.str(envelope.group);
+  w.u64(envelope.serial);
+  w.bytes(crypto::sha256Bytes(envelope.blob));
+  return crypto::sha256Bytes(w.buffer());
+}
+
 }  // namespace
 
 util::Bytes HeadRecord::signedBytes() const {
@@ -188,6 +199,14 @@ void MicroblogNode::addToCircle(const std::string& circle,
   acl_.addMember(circleId(circle), member);
 }
 
+privacy::RevocationReport MicroblogNode::removeFromCircle(
+    const std::string& circle, const UserId& member) {
+  if (member == keyring_.user) {
+    throw util::DosnError("MicroblogNode: cannot revoke the circle owner");
+  }
+  return acl_.removeMember(circleId(circle), member);
+}
+
 void MicroblogNode::publish(const std::string& circle, const std::string& text,
                             social::Timestamp now, util::Rng& rng,
                             std::function<void(bool)> done) {
@@ -199,11 +218,9 @@ void MicroblogNode::publish(const std::string& circle, const std::string& text,
 
   TimelineRecord record;
   record.envelope = acl_.encrypt(circleId(circle), post.serialize(), rng);
-  // The chain entry commits to the stored ciphertext, binding order and
-  // content even though replicas only ever see the envelope.
-  record.entry =
-      timeline_.append(crypto::sha256Bytes(record.envelope.blob), rng);
-  envelopes_.push_back(record.envelope);
+  // The chain entry commits to the stored envelope, binding order, content
+  // and metadata even though replicas only ever see the envelope.
+  record.entry = timeline_.append(chainPayload(record.envelope), rng);
   const std::uint64_t seq = timeline_.size() - 1;
 
   HeadRecord head;
@@ -399,10 +416,9 @@ void MicroblogNode::finishFetch(const std::shared_ptr<FetchState>& state) {
     failFetch(state, std::move(out));
     return;
   }
-  // Each chain entry must commit to its envelope (payload = H(envelope)).
+  // Each chain entry must commit to the envelope served with it.
   for (std::size_t i = 0; i < entries.size(); ++i) {
-    if (entries[i].payload !=
-        crypto::sha256Bytes((*state->records[i]).envelope.blob)) {
+    if (entries[i].payload != chainPayload(state->records[i]->envelope)) {
       failFetch(state, std::move(out));
       return;
     }

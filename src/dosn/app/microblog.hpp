@@ -8,6 +8,13 @@
 //   mb:<user>:head      -> signed HeadRecord{length, headHash}
 //   mb:<user>:<seq>     -> TimelineRecord{ChainEntry, Envelope}
 //
+// Each chain entry's payload is the 32-byte digest
+//   sha256(str(scheme) || str(group) || u64(serial) || bytes(sha256(blob)))
+// of its envelope, so the signed chain commits to the envelope's metadata as
+// well as its ciphertext: ACLs resolve an envelope by (group, serial), and a
+// replica that rewrote either would otherwise make a reader decrypt another
+// stored post under this entry.
+//
 // Trust model: replicas are untrusted. Content integrity and order are
 // protected by the chain + signatures; confidentiality by the ACL envelope.
 // A malicious replica can at worst serve a stale (shorter) but internally
@@ -116,10 +123,14 @@ class MicroblogNode {
   /// Joins the DHT through a seed contact.
   void join(const overlay::Contact& seed, std::function<void()> done = {});
 
-  // Circle management (namespaced like DosnNode).
+  /// Circle management. Circle names are namespaced per user
+  /// ("alice/friends") so one controller can be shared across nodes; the
+  /// owner is a member of every circle they create and cannot be revoked.
   std::string circleId(const std::string& circle) const;
   void createCircle(const std::string& circle);
   void addToCircle(const std::string& circle, const UserId& member);
+  privacy::RevocationReport removeFromCircle(const std::string& circle,
+                                             const UserId& member);
 
   /// Encrypts, chains, and stores a post in the DHT; updates the signed head.
   /// `done(ok)` fires when both stores complete.
@@ -171,7 +182,6 @@ class MicroblogNode {
   social::Keyring keyring_;
   integrity::Timeline timeline_;
   overlay::KademliaNode dht_;
-  std::vector<privacy::Envelope> envelopes_;  // local copies, by seq
   social::PostId nextPostId_ = 1;
   util::Rng& rng_;
   FriendCacheConfig cacheConfig_;

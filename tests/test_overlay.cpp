@@ -137,7 +137,8 @@ class KademliaTest : public ::testing::Test {
   sim::Simulator sim_;
   sim::Network net_{sim_, sim::LatencyModel{5 * kMillisecond, 2 * kMillisecond, 0.0},
                     rng_};
-  KademliaConfig config_{8, 3, 500 * kMillisecond, 0, {}};
+  KademliaConfig config_{.k = 8, .alpha = 3, .rpcTimeout = 500 * kMillisecond,
+                         .storeWidth = 0, .retry = {}, .makeStore = {}};
   std::vector<std::unique_ptr<KademliaNode>> nodes_;
 };
 
@@ -440,7 +441,8 @@ TEST(Hybrid, CacheServesPopularDhtServesRare) {
   util::Rng rng(21);
   sim::Simulator sim;
   sim::Network net(sim, sim::LatencyModel{5 * kMillisecond, 0, 0.0}, rng);
-  KademliaConfig kconfig{8, 3, 500 * kMillisecond, 0, {}};
+  KademliaConfig kconfig{.k = 8, .alpha = 3, .rpcTimeout = 500 * kMillisecond,
+                         .storeWidth = 0, .retry = {}, .makeStore = {}};
   GossipConfig gconfig = gossipConfig(500 * kMillisecond, 2);
 
   std::vector<std::unique_ptr<HybridNode>> nodes;
